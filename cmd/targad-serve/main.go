@@ -19,14 +19,15 @@
 // path decodes into pooled buffers with near-zero allocation and, with
 // -precision f32, feeds float32 frames straight into the SIMD kernels.
 //
-// Concurrent requests are micro-batched (-max-batch rows, -max-wait
-// window) into single inference passes. The queue is bounded
-// (-queue); when full, requests are shed with 429 + Retry-After.
-// Bodies beyond -max-request-bytes are rejected with 413. The
-// model hot-reloads from -model on SIGHUP or POST /reload with zero
-// failed requests — in-flight batches finish on the model they
-// started with. /healthz, /readyz, /metrics (Prometheus text),
-// /debug/vars, and (with -pprof) /debug/pprof serve operations.
+// Concurrent requests already queued are micro-batched (up to
+// -max-batch rows, never waiting for more) into single inference
+// passes. The queue is bounded (-queue); when full, requests are shed
+// with 429 + Retry-After. Bodies beyond -max-request-bytes are
+// rejected with 413. The model hot-reloads from -model on SIGHUP or
+// POST /reload with zero failed requests — in-flight batches finish on
+// the model they started with. /healthz, /readyz, /metrics
+// (Prometheus text), /debug/vars, and (with -pprof) /debug/pprof serve
+// operations.
 //
 // By default scoring runs in float64, bitwise-identical to offline
 // scoring of the same model file. -precision f32 serves on the float32
@@ -86,7 +87,6 @@ func main() {
 		maxHot      = flag.Int("max-hot-models", 4, "registry mode: models kept loaded at once; past it the least-recently-used is evicted")
 		addr        = flag.String("addr", ":8080", "listen address")
 		maxBatch    = flag.Int("max-batch", 64, "max rows per inference micro-batch (1 disables batching)")
-		maxWait     = flag.Duration("max-wait", 2*time.Millisecond, "max wait for an incomplete batch to fill")
 		queueDepth  = flag.Int("queue", 256, "bounded queue depth; beyond it requests shed with 429")
 		retryAfter  = flag.Duration("retry-after", time.Second, "Retry-After advertised on shed responses")
 		maxReqBytes = flag.Int64("max-request-bytes", 32<<20, "max request body size in bytes; larger requests are rejected with 413")
@@ -172,7 +172,6 @@ func main() {
 			MaxHot: *maxHot,
 			Base: serve.Config{
 				MaxBatch:     *maxBatch,
-				MaxWait:      *maxWait,
 				QueueDepth:   *queueDepth,
 				RetryAfter:   *retryAfter,
 				MaxBodyBytes: *maxReqBytes,
@@ -235,7 +234,6 @@ func main() {
 		s, err := serve.New(serve.Config{
 			ModelPath:    *modelPath,
 			MaxBatch:     *maxBatch,
-			MaxWait:      *maxWait,
 			QueueDepth:   *queueDepth,
 			RetryAfter:   *retryAfter,
 			MaxBodyBytes: *maxReqBytes,
@@ -320,8 +318,8 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	log.Printf("targad-serve %s: serving %s on %s (batch<=%d wait=%s queue=%d strategy=%s precision=%s kernel=%s)",
-		buildinfo.Version(), serving, *addr, *maxBatch, *maxWait, *queueDepth, strat, prec, mat.KernelName())
+	log.Printf("targad-serve %s: serving %s on %s (batch<=%d queue=%d strategy=%s precision=%s kernel=%s)",
+		buildinfo.Version(), serving, *addr, *maxBatch, *queueDepth, strat, prec, mat.KernelName())
 
 	select {
 	case <-ctx.Done():

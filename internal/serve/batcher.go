@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"time"
 
 	"targad/internal/core"
 	"targad/internal/dataset"
@@ -71,9 +70,9 @@ var errDraining = errors.New("serve: server shutting down")
 var errStrategyNotCalibrated = errors.New("serve: identification strategy not calibrated on the served model")
 
 // dispatch is the micro-batching loop: one goroutine drains the queue,
-// coalesces up to MaxBatch rows (waiting at most MaxWait from the
-// first job), and runs a single inference pass per batch so the
-// blocked GEMM amortizes across concurrent requests.
+// coalesces the jobs already waiting (collectBatch), and runs a single
+// inference pass per batch so the blocked GEMM amortizes across
+// concurrent requests.
 func (s *Server) dispatch() {
 	defer s.wg.Done()
 	for {
@@ -89,36 +88,22 @@ func (s *Server) dispatch() {
 	}
 }
 
-// collectBatch gathers jobs after the first until the batch holds
-// MaxBatch rows or MaxWait elapses. Jobs already queued are taken
-// without waiting, so a saturated queue forms full batches instantly.
+// collectBatch takes the jobs queued behind first, without blocking,
+// until the batch holds MaxBatch rows or the queue is empty. The job
+// that reaches MaxBatch joins whole, so a batch may overshoot by less
+// than one request; later jobs stay queued for the next batch. It
+// never waits for a batch to fill: under load jobs pile up while Infer
+// runs, so batches fill on their own, and an idle server scores a lone
+// request at once.
 func (s *Server) collectBatch(first *job) []*job {
 	jobs := []*job{first}
 	rows := first.rowCount()
-	// Fast drain: whatever is queued right now joins for free.
 	for rows < s.cfg.MaxBatch {
 		select {
 		case j := <-s.queue:
 			jobs = append(jobs, j)
 			rows += j.rowCount()
-			continue
 		default:
-		}
-		break
-	}
-	if rows >= s.cfg.MaxBatch || s.cfg.MaxWait <= 0 {
-		return jobs
-	}
-	timer := time.NewTimer(s.cfg.MaxWait)
-	defer timer.Stop()
-	for rows < s.cfg.MaxBatch {
-		select {
-		case j := <-s.queue:
-			jobs = append(jobs, j)
-			rows += j.rowCount()
-		case <-timer.C:
-			return jobs
-		case <-s.done:
 			return jobs
 		}
 	}

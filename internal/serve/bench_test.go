@@ -9,7 +9,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"targad/internal/activelearn"
 	"targad/internal/core"
@@ -84,7 +83,21 @@ func (w *nullResponseWriter) WriteHeader(status int)      { w.status = status }
 // ci.sh gate holds this at <=9 allocs/op against the JSON path's ~146.
 // f32 serves an f32 frame on an f32-precision server: the payload
 // decodes straight into the float32 kernels with no f64 round-trip.
+// MaxBatch=1 takes the direct path; BenchmarkServeScoreBinaryBatched
+// is the dispatcher twin.
 func BenchmarkServeScoreBinary(b *testing.B) {
+	benchServeScoreBinary(b, 1)
+}
+
+// BenchmarkServeScoreBinaryBatched is BenchmarkServeScoreBinary on the
+// default batched path (MaxBatch=64): every request is queued and
+// scored by the dispatcher. The ci.sh gate holds it to the same <=9
+// allocs/op budget.
+func BenchmarkServeScoreBinaryBatched(b *testing.B) {
+	benchServeScoreBinary(b, 64)
+}
+
+func benchServeScoreBinary(b *testing.B, maxBatch int) {
 	rows := testRows(4, 123)
 	rows32 := make([][]float32, len(rows))
 	for i, row := range rows {
@@ -111,7 +124,7 @@ func BenchmarkServeScoreBinary(b *testing.B) {
 		{"f32", F32, f32frame},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			s, err := New(Config{MaxBatch: 1, Strategy: core.ED, Precision: tc.prec})
+			s, err := New(Config{MaxBatch: maxBatch, Strategy: core.ED, Precision: tc.prec})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -198,7 +211,7 @@ func benchServeScore(b *testing.B, model *core.Model, prec Precision) {
 		cfg  Config
 	}{
 		{"batch=off", Config{MaxBatch: 1, Strategy: core.ED, Precision: prec}},
-		{"batch=on", Config{MaxBatch: 64, MaxWait: 500 * time.Microsecond, QueueDepth: 1024, Strategy: core.ED, Precision: prec}},
+		{"batch=on", Config{MaxBatch: 64, QueueDepth: 1024, Strategy: core.ED, Precision: prec}},
 	} {
 		for _, clients := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/clients=%d", batching.name, clients), func(b *testing.B) {

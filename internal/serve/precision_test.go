@@ -49,7 +49,7 @@ func TestServeF32WithinTolerance(t *testing.T) {
 
 	for _, cfg := range []Config{
 		{MaxBatch: 1, Precision: F32},
-		{MaxBatch: 32, MaxWait: time.Millisecond, Precision: F32},
+		{MaxBatch: 32, Precision: F32},
 	} {
 		_, ts := newTestServer(t, cfg)
 		status, ok, bad := postScore(t, http.DefaultClient, ts.URL, scoreRequest{Instances: rows, Strategy: "MSP", Probabilities: true})

@@ -10,11 +10,12 @@
 //   - Requests decode into pooled per-request arenas and become jobs on
 //     a bounded queue. A full queue sheds the request with 429 and a
 //     Retry-After header instead of letting latency grow without bound.
-//   - A single dispatcher goroutine micro-batches queued jobs — up to
-//     MaxBatch rows, waiting at most MaxWait from the first job — into
-//     one core.Model.Infer pass, so the blocked GEMM amortizes across
-//     concurrent requests. With MaxBatch <= 1 the queue is bypassed and
-//     handlers score directly on the replica pool.
+//   - A single dispatcher goroutine micro-batches the jobs already
+//     queued — up to MaxBatch rows, never waiting for more — into one
+//     core.Model.Infer pass, so the blocked GEMM amortizes across
+//     concurrent requests while an idle server adds no latency. With
+//     MaxBatch <= 1 the queue is bypassed and handlers score directly
+//     on the replica pool.
 //   - The served model lives behind an atomic pointer. Reload (POST
 //     /reload, or SIGHUP in cmd/targad-serve) loads the file into a
 //     fresh model and swaps the pointer; batches in flight finish on
@@ -59,12 +60,14 @@ type Config struct {
 	// model with SetModel.
 	ModelPath string
 
-	// MaxBatch is the most instance rows one inference pass carries;
-	// <= 1 disables micro-batching (default 64).
+	// MaxBatch is the most instance rows one inference pass carries
+	// (default 64). A batch takes only the jobs already queued when the
+	// dispatcher picks up its first job; it never waits to fill. <= 1
+	// disables micro-batching.
 	MaxBatch int
-	// MaxWait bounds how long an incomplete batch waits for more rows
-	// after its first job arrives (default 2ms; 0 means "take only
-	// what is already queued").
+	// Deprecated: ignored; a batch takes only what is already queued.
+	// The field remains so existing callers keep compiling; remove it
+	// once no caller sets it.
 	MaxWait time.Duration
 	// QueueDepth bounds the number of queued scoring jobs; a full
 	// queue sheds with 429 (default 256).
@@ -199,9 +202,6 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 64
-	}
-	if cfg.MaxWait == 0 {
-		cfg.MaxWait = 2 * time.Millisecond
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 256

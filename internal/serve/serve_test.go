@@ -146,9 +146,19 @@ func offlineExpect(t testing.TB, m *core.Model, rows [][]float64, strat core.OOD
 // micro-batcher against ONE served model, and every response must be
 // bitwise-identical to the offline Model.Score / Identify /
 // Probabilities on the same rows. JSON carries float64 losslessly
-// (shortest round-trip encoding), so == is exact.
+// (shortest round-trip encoding), so == is exact. It runs once more
+// with the deprecated MaxWait set to an hour: the batcher must ignore
+// it, or the last partial batch would stall until the test times out.
 func TestServedScoresBitwiseIdenticalConcurrent(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 16, MaxWait: time.Millisecond, Strategy: core.ED})
+	for _, wait := range []time.Duration{0, time.Hour} {
+		t.Run(fmt.Sprintf("MaxWait=%v", wait), func(t *testing.T) {
+			testServedScoresBitwise(t, Config{MaxBatch: 16, MaxWait: wait, Strategy: core.ED})
+		})
+	}
+}
+
+func testServedScoresBitwise(t *testing.T, cfg Config) {
+	_, ts := newTestServer(t, cfg)
 	ref := loadFixtureModel(t)
 
 	const clients = 8
@@ -244,7 +254,7 @@ func TestDirectPathBitwiseIdentical(t *testing.T) {
 // repeatedly must see only 200s, every score bitwise-correct, and the
 // served version must advance.
 func TestHotReloadUnderLoad(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 8, MaxWait: time.Millisecond, Strategy: core.ED})
+	s, ts := newTestServer(t, Config{MaxBatch: 8, Strategy: core.ED})
 	ref := loadFixtureModel(t)
 
 	const clients = 6
@@ -303,10 +313,10 @@ func TestHotReloadUnderLoad(t *testing.T) {
 // queued into unbounded latency.
 func TestSaturatedQueueSheds(t *testing.T) {
 	defer faultinject.Reset()
+	const depth = 2
 	s, ts := newTestServer(t, Config{
 		MaxBatch:   2,
-		MaxWait:    time.Second,
-		QueueDepth: 2,
+		QueueDepth: depth,
 		RetryAfter: 3 * time.Second,
 		Strategy:   core.ED,
 	})
@@ -315,16 +325,15 @@ func TestSaturatedQueueSheds(t *testing.T) {
 
 	rows := testRows(1, 7)
 	var wg sync.WaitGroup
-	codes := make(chan int, 4)
+	codes := make(chan int, depth+1)
 	send := func() {
 		defer wg.Done()
 		status, _, _ := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: rows})
 		codes <- status
 	}
-	// Two requests fill one MaxBatch=2 batch; the dispatcher enters the
-	// injected 400ms sleep.
-	wg.Add(2)
-	go send()
+	// One request reaches the dispatcher, which takes it as a batch of
+	// its own and enters the injected 400ms sleep.
+	wg.Add(1)
 	go send()
 	deadline := time.Now().Add(2 * time.Second)
 	for faultinject.Fired(faultinject.ServeSlowScore) < 1 {
@@ -333,17 +342,18 @@ func TestSaturatedQueueSheds(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Two more park in the queue (depth 2)…
-	wg.Add(2)
-	go send()
-	go send()
-	for len(s.queue) < 2 {
+	// QueueDepth more park in the queue behind it…
+	wg.Add(depth)
+	for i := 0; i < depth; i++ {
+		go send()
+	}
+	for len(s.queue) < depth {
 		if time.Now().After(deadline) {
 			t.Fatal("queue never filled")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// …so the fifth must shed immediately.
+	// …so the next must shed immediately.
 	body, _ := json.Marshal(scoreRequest{Instances: rows})
 	start := time.Now()
 	resp, err := ts.Client().Post(ts.URL+"/score", "application/json", bytes.NewReader(body))
@@ -379,7 +389,7 @@ func TestSaturatedQueueSheds(t *testing.T) {
 // old model keeps serving.
 func TestReloadFailureKeepsServing(t *testing.T) {
 	defer faultinject.Reset()
-	s, ts := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Millisecond, Strategy: core.ED})
+	s, ts := newTestServer(t, Config{MaxBatch: 4, Strategy: core.ED})
 	before := s.ModelVersion()
 
 	faultinject.Arm(faultinject.ServeReloadFail, 1)
@@ -404,7 +414,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 }
 
 func TestScoreValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	_, ts := newTestServer(t, Config{MaxBatch: 4})
 
 	cases := []struct {
 		name string
@@ -444,7 +454,7 @@ func TestScoreValidation(t *testing.T) {
 }
 
 func TestHealthAndReadiness(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxBatch: 2, MaxWait: time.Millisecond})
+	s, ts := newTestServer(t, Config{MaxBatch: 2})
 	for _, path := range []string{"/healthz", "/readyz"} {
 		resp, err := ts.Client().Get(ts.URL + path)
 		if err != nil {
@@ -484,7 +494,7 @@ func TestHealthAndReadiness(t *testing.T) {
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBatch: 4, MaxWait: time.Millisecond, Strategy: core.ED})
+	_, ts := newTestServer(t, Config{MaxBatch: 4, Strategy: core.ED})
 	if status, _, _ := postScore(t, ts.Client(), ts.URL, scoreRequest{Instances: testRows(3, 5)}); status != http.StatusOK {
 		t.Fatalf("score: status %d", status)
 	}
@@ -523,7 +533,7 @@ func TestDefaultStrategyUncalibrated(t *testing.T) {
 	// a junk strategy (covered in validation) and the lenient path by
 	// spot-checking the dispatcher contract directly.
 	m := loadFixtureModel(t)
-	s, err := New(Config{MaxBatch: 4, MaxWait: time.Millisecond, Strategy: core.ED})
+	s, err := New(Config{MaxBatch: 4, Strategy: core.ED})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -131,8 +131,10 @@ go test -run '^$' -bench 'BenchmarkMonitorObserve' \
 # zero-copy acceptance gate; the HTTP-suffixed variant is deliberately
 # outside the pattern. The WithAcquisition twin (PR9) holds the same
 # budget with an acquisition queue armed: the sampler's non-sampled
-# path must add zero allocations.
-go test -run '^$' -bench 'BenchmarkServeScoreBinary/|BenchmarkServeScoreWithAcquisition' \
+# path must add zero allocations. The Batched twin holds it on the
+# default MaxBatch=64 path, where every request goes through the
+# dispatcher queue.
+go test -run '^$' -bench 'BenchmarkServeScoreBinary/|BenchmarkServeScoreBinaryBatched/|BenchmarkServeScoreWithAcquisition' \
     -benchmem -cpu 1 ./internal/serve | tee -a /tmp/targad_alloc_smoke.txt
 # The registry twin (PR10) holds the identical budget on the
 # tenantless default route through the multi-model handler: the
@@ -149,6 +151,7 @@ awk '
     if (name ~ /MatMul/)             budget = 10
     if (name ~ /MonitorObserve/)     budget = 0
     if (name ~ /ServeScoreBinary\//) budget = 9
+    if (name ~ /ServeScoreBinaryBatched\//) budget = 9
     if (name ~ /ServeScoreWithAcquisition/) budget = 9
     if (name ~ /RegistryScoreBinary/) budget = 9
     if (budget >= 0 && allocs + 0 > budget) {
